@@ -155,6 +155,12 @@ class ChaosProxy:
         self._stopping = True
         self._flowing.set()
         if self._listener is not None:
+            # shutdown() wakes the thread blocked in accept(); close()
+            # alone does not on Linux.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -18,8 +18,10 @@ Threads (paper section 6.1 mapped onto our design; see DESIGN.md §4):
 * the **audio hub thread** is the device layer; the server registers one
   tick callback that runs the command-queue conductors and the wire-graph
   rendering engine inside the hub's block cycle;
-* the **render pool** workers shard the block cycle's render plan rows
-  across cores (``render_pool.py``), merging deterministically.
+* with ``--render-backend procs``, **render worker processes** shard
+  the block cycle's render plan rows across cores over shared memory
+  (``render_proc.py``), merging deterministically; the default serial
+  loop in the hub thread stays the byte-identical oracle.
 
 The re-entrant *topology* lock serializes mutating dispatch against the
 block cycle; pure and snapshot-served queries bypass it entirely
@@ -58,7 +60,6 @@ from .dispatch import Dispatcher
 from .events import EventRouter
 from .locks import RANK_CLIENTS, RANK_TOPOLOGY, InstrumentedRLock
 from .loud import Loud
-from .render_pool import RenderPool
 from .resources import DEVICE_LOUD_ID, ResourceTable
 from .snapshot import QuerySnapshot, build_query_snapshot
 from .sounds import Catalogue, DecodeCache
@@ -143,28 +144,26 @@ class AudioServer:
         #: lock-free query snapshot.
         self._topology_version = 0
         self._query_snapshot: QuerySnapshot | None = None
-        #: Selectable render backend (docs/PERFORMANCE.md): "threads"
-        #: (the PR 4 sharded pool), "procs" (process sharding over
-        #: shared memory), or "serial" (no pool at all).  Whatever the
-        #: backend, plans below the row threshold (or a <2-worker pool)
-        #: render serially in _on_tick, which stays the byte-identical
-        #: oracle.
+        #: Selectable render backend (docs/PERFORMANCE.md): "serial"
+        #: (the default: no pool, the block cycle renders every row
+        #: itself and is the byte-identical oracle) or "procs" (process
+        #: sharding over shared memory).  Plans the pool declines --
+        #: below its row threshold, or workers not ready -- render on
+        #: the serial path in _on_tick.
         backend = (render_backend
                    or os.environ.get("REPRO_RENDER_BACKEND", "")
-                   or "threads").strip().lower()
-        if backend not in ("serial", "threads", "procs"):
-            raise ValueError("unknown render backend %r "
-                             "(serial, threads or procs)" % backend)
+                   or "serial").strip().lower()
+        if backend not in ("serial", "procs"):
+            raise ValueError("unknown render backend %r (serial or procs)"
+                             % backend)
         self.render_backend = backend
         if backend == "procs":
             from .render_proc import ProcessRenderPool
 
-            self.render_pool = ProcessRenderPool(
+            self.render_pool: ProcessRenderPool | None = ProcessRenderPool(
                 self, workers=render_workers, min_rows=render_min_rows)
         else:
-            self.render_pool = RenderPool(
-                self, workers=0 if backend == "serial" else render_workers,
-                min_rows=render_min_rows)
+            self.render_pool = None
         #: Selectable connection I/O backend (docs/PERFORMANCE.md,
         #: "Connection scaling"): "threads" keeps the per-client
         #: reader/writer pumps (the oracle), "shards" hands every
@@ -334,9 +333,11 @@ class AudioServer:
             try:
                 for queue, _devices in plan:
                     queue.tick_pre(sample_time, frames)
-                if not self.render_pool.render(plan, sample_time, frames):
-                    # Serial path: the oracle the pool must match
-                    # byte-for-byte, and the fallback for small plans.
+                pool = self.render_pool
+                if pool is None or not pool.render(plan, sample_time,
+                                                   frames):
+                    # Serial path: the default, the oracle the pool must
+                    # match byte-for-byte, and its fallback.
                     for _queue, devices in plan:
                         for device in devices:
                             device.begin_tick(sample_time, frames)
@@ -404,8 +405,9 @@ class AudioServer:
         if self.trunk is not None:
             self.trunk.start()
         # Process workers spawn in the background; ticks render serially
-        # until they report ready (a no-op for the thread backend).
-        self.render_pool.start()
+        # until they report ready.
+        if self.render_pool is not None:
+            self.render_pool.start()
         if start_hub:
             self.hub.start()
         self._accept_thread = threading.Thread(
@@ -434,7 +436,8 @@ class AudioServer:
         if self.trunk is not None:
             self.trunk.stop()
         self.hub.stop()
-        self.render_pool.shutdown()
+        if self.render_pool is not None:
+            self.render_pool.shutdown()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
             self._accept_thread = None

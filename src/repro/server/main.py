@@ -7,8 +7,8 @@ Usage::
                        [--stats-interval SECONDS]
                        [--outbound-bound MESSAGES]
                        [--stall-deadline SECONDS]
-                       [--render-workers N] [--render-min-rows ROWS]
-                       [--render-backend {serial,threads,procs}]
+                       [--render-backend {serial,procs}]
+                       [--render-workers N]
                        [--io-backend {threads,shards}] [--io-shards N]
                        [--trunk-listen [HOST:]PORT]
                        [--trunk-route PREFIX=HOST:PORT]...
@@ -78,21 +78,17 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="evict a client whose socket blocks its "
                              "writer thread this long (default 5.0)")
+    parser.add_argument("--render-backend", default=None,
+                        choices=("serial", "procs"),
+                        help="render backend: 'serial' (default; the "
+                             "hub thread renders every LOUD) or 'procs' "
+                             "(process sharding over shared memory; env "
+                             "REPRO_RENDER_BACKEND)")
     parser.add_argument("--render-workers", type=int, default=None,
                         metavar="N",
-                        help="render-pool worker threads (default: the "
-                             "core count, capped; <2 disables parallel "
-                             "rendering; env REPRO_RENDER_WORKERS)")
-    parser.add_argument("--render-min-rows", type=int, default=None,
-                        metavar="ROWS",
-                        help="render plans below this many rows stay on "
-                             "the serial path (default 4)")
-    parser.add_argument("--render-backend", default=None,
-                        choices=("serial", "threads", "procs"),
-                        help="render backend: 'threads' (default), "
-                             "'procs' (process sharding over shared "
-                             "memory), or 'serial' (no pool; env "
-                             "REPRO_RENDER_BACKEND)")
+                        help="procs backend worker processes (default: "
+                             "the core count, capped; <2 renders "
+                             "serially; env REPRO_RENDER_WORKERS)")
     parser.add_argument("--io-backend", default=None,
                         choices=("threads", "shards"),
                         help="connection I/O backend: 'threads' (default; "
@@ -156,7 +152,6 @@ def main(argv: list[str] | None = None) -> int:
                          outbound_bound=args.outbound_bound,
                          stall_deadline=args.stall_deadline,
                          render_workers=args.render_workers,
-                         render_min_rows=args.render_min_rows,
                          render_backend=args.render_backend,
                          io_backend=args.io_backend,
                          io_shards=args.io_shards,

@@ -215,7 +215,11 @@ class QueueProgram:
     def __init__(self) -> None:
         self.root = Seq()
         self._open: list[Container] = [self.root]
-        self._all_leaves: list[Leaf] = []
+        #: The leaves from the oldest unfinished one on, in program
+        #: order.  Finished leaves are trimmed on the next scan, so the
+        #: per-block scans cost the live queue, not every command it
+        #: ever held.
+        self._leaves: list[Leaf] = []
         self.completed_count = 0
 
     @property
@@ -251,7 +255,7 @@ class QueueProgram:
             return None
         leaf = Leaf(device_id, command, args)
         self._top.append(leaf)
-        self._all_leaves.append(leaf)
+        self._leaves.append(leaf)
         return leaf
 
     #: Filled in by the owning queue so Delay can convert ms to frames.
@@ -288,22 +292,38 @@ class QueueProgram:
                 if not child.done:
                     self._collect_ready(child, ready)
 
+    def _live_leaves(self) -> list[Leaf]:
+        """The tracked leaves, with the finished ones at the front
+        dropped.  Commands finish in program order except across
+        CoBegin branches, so trimming the head keeps the list to the
+        live part of the queue at O(1) per scan; a branch that finished
+        early leaves once every leaf before it has."""
+        leaves = self._leaves
+        done = 0
+        while done < len(leaves) and leaves[done].state is LeafState.DONE:
+            done += 1
+        if done:
+            del leaves[:done]
+        return leaves
+
     def pending_count(self) -> int:
         """Leaves not yet started."""
-        return sum(1 for leaf in self._all_leaves
+        return sum(1 for leaf in self._live_leaves()
                    if leaf.state in (LeafState.WAITING, LeafState.READY))
 
     def running_count(self) -> int:
-        return sum(1 for leaf in self._all_leaves
+        return sum(1 for leaf in self._live_leaves()
                    if leaf.state is LeafState.RUNNING)
 
     def running_leaves(self) -> list[Leaf]:
-        return [leaf for leaf in self._all_leaves
+        return [leaf for leaf in self._live_leaves()
                 if leaf.state is LeafState.RUNNING]
 
     @property
     def is_empty(self) -> bool:
-        return (self.pending_count() == 0 and self.running_count() == 0)
+        # Every leaf DONE is exactly an empty list once the head is
+        # trimmed.
+        return not self._live_leaves()
 
     def flush_pending(self) -> list[Leaf]:
         """Discard not-yet-started leaves (ControlQueue FLUSH).
@@ -312,14 +332,12 @@ class QueueProgram:
         returns the flushed leaves so the caller can report them.
         """
         flushed = []
-        for leaf in self._all_leaves:
+        for leaf in self._live_leaves():
             if leaf.state in (LeafState.WAITING, LeafState.READY):
                 leaf.state = LeafState.DONE
                 flushed.append(leaf)
         # Rebuild the tree as an empty program: simplest faithful
         # semantics for a full flush of pending work.
-        running = self.running_leaves()
         self.root = Seq()
         self._open = [self.root]
-        self._all_leaves = list(running)
         return flushed

@@ -1,11 +1,11 @@
-"""True multicore rendering: process-sharded render backend.
+"""True multicore rendering: the process-sharded render backend.
 
-The thread pool in ``render_pool.py`` shards render-plan rows across
-threads, but the GIL serializes the Python half of every row, so on the
-measured box the threaded path *loses* to serial (BENCH_PERF.json,
-speedup 0.38-0.91).  This module cashes in the PR 4 lock decomposition
-by sharding rows across **OS processes** instead, the way Distributed
-MARF shards its pipeline stages (PAPERS.md).
+The default block cycle renders every plan row serially on the hub
+thread (``AudioServer._on_tick``), and that loop is the byte-identity
+oracle.  Threads cannot beat it: the GIL serializes the Python half of
+every row.  This opt-in backend (``--render-backend procs``) shards
+rows across **OS processes** instead, the way Distributed MARF shards
+its pipeline stages (PAPERS.md).
 
 Workers cannot share live server objects, so the backend splits every
 row in two:
@@ -29,8 +29,8 @@ with the serial oracle in ``core.py`` is preserved) and reply with
 per-row *advance descriptors*: how far each playback item moved, when
 it finished, where its sync marks fall.  The hub -- still the only
 owner of server state -- applies the advances to the real handles and
-replays the resulting events in plan-row order through the same
-deferral machinery the thread pool uses (``render_pool.py``).
+replays the resulting events in plan-row order through the event
+router's deferral buffers (``events.py``).
 
 Because workers never mutate hub state directly, a worker crash is
 recoverable *within the same tick*: the hub discards the partial sums,
@@ -50,7 +50,6 @@ import numpy as np
 
 from ..dsp.mixing import apply_gain, mix
 from ..obs import MICROSECOND_BUCKETS
-from .render_pool import DEFAULT_MIN_ROWS
 from .vdevices.io import OutputDevice
 from .vdevices.player import PlayerDevice
 
@@ -59,6 +58,10 @@ log = logging.getLogger(__name__)
 #: Accumulator ring depth: a lagging worker writing a stale tick lands
 #: in a slot the hub has long consumed, never the one being summed.
 RING_SLOTS = 4
+
+#: Plans with fewer rows than this render serially by default; the
+#: dispatch/collect overhead beats the parallelism win for tiny plans.
+DEFAULT_MIN_ROWS = 4
 
 #: Upper bound on worker processes however many cores the host reports.
 MAX_PROC_WORKERS = 8
@@ -70,8 +73,8 @@ DEFAULT_REPLY_TIMEOUT = 2.0
 
 
 def default_proc_worker_count() -> int:
-    """REPRO_RENDERPROC_WORKERS if set, else the core count, capped."""
-    raw = os.environ.get("REPRO_RENDERPROC_WORKERS", "")
+    """REPRO_RENDER_WORKERS if set, else the core count, capped."""
+    raw = os.environ.get("REPRO_RENDER_WORKERS", "")
     if raw:
         try:
             return max(0, int(raw))
@@ -354,7 +357,6 @@ class _Worker:
 class ProcessRenderPool:
     """Persistent worker processes rendering compiled plan rows.
 
-    Same contract as :class:`~repro.server.render_pool.RenderPool`:
     ``render()`` either renders the whole plan (returning True) with
     output and client-visible events byte-identical to the serial
     oracle, or returns False so the caller's serial loop runs.
@@ -367,10 +369,8 @@ class ProcessRenderPool:
         if workers is None:
             workers = default_proc_worker_count()
         self.workers = max(0, min(int(workers), MAX_PROC_WORKERS))
-        if min_rows is None:
-            raw = os.environ.get("REPRO_RENDER_MIN_ROWS", "")
-            min_rows = int(raw) if raw.isdigit() else DEFAULT_MIN_ROWS
-        self.min_rows = max(2, int(min_rows))
+        self.min_rows = max(2, DEFAULT_MIN_ROWS if min_rows is None
+                            else int(min_rows))
         if reply_timeout is None:
             raw = os.environ.get("REPRO_RENDERPROC_TIMEOUT", "")
             try:
@@ -771,7 +771,7 @@ class ProcessRenderPool:
     def _render_row_serially(self, row: tuple, sample_time: int,
                              frames: int) -> tuple:
         """One row through the real devices, events deferred for the
-        ordered replay (identical to the thread pool's worker body)."""
+        ordered replay."""
         router = self.server.events
         deferred = router.start_deferred()
         error = None

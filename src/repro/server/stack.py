@@ -42,7 +42,7 @@ class ActiveStack:
         """The precompiled render plan: one row per active root LOUD.
 
         Rows are mutually independent (wires never cross LOUD trees),
-        which is what lets the render pool shard them across workers;
+        which is what lets the procs backend shard them across workers;
         stack order fixes the deterministic merge order.
         """
         return [loud.render_row() for loud in self.active_louds()]

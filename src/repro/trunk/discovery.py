@@ -219,6 +219,12 @@ class MeshRegistry:
     def stop(self) -> None:
         self._running = False
         if self._listener is not None:
+            # shutdown() wakes the thread blocked in accept(); close()
+            # alone does not on Linux.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

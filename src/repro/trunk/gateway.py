@@ -593,6 +593,12 @@ class TrunkGateway:
         if self._registry is not None:
             self._registry.stop()
         if self._listener is not None:
+            # shutdown() wakes the thread blocked in accept(); close()
+            # alone does not on Linux.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

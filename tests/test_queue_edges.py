@@ -127,6 +127,27 @@ class TestQueueEdgeCases:
             lambda e: e.code is EventCode.QUEUE_EMPTY, timeout=10)
         assert loud.query_queue().completed == 2
 
+    def test_finished_commands_leave_the_tracked_leaves(self, server,
+                                                         client):
+        """Regression: the queue program kept every leaf it ever held,
+        so each block's running-leaf scans grew with queue history."""
+        loud, player = build_player(client)
+        sound = client.sound_from_samples(
+            np.full(100, 5, dtype=np.int16), PCM16_8K)
+        plays = 12
+        for _ in range(plays):
+            player.play(sound)
+        client.sync()
+        program = server.resources.get(loud.loud_id).queue.program
+        assert len(program._leaves) == plays
+        loud.start_queue()
+        assert client.wait_for_event(
+            lambda e: e.code is EventCode.QUEUE_EMPTY, timeout=10)
+        reply = loud.query_queue()
+        assert (reply.pending, reply.running, reply.completed) == (
+            0, 0, plays)
+        assert program._leaves == []
+
     def test_immediate_command_on_unmapped_loud_ignored(self, server,
                                                         client):
         # "Any commands sent to them will be ignored until activated."

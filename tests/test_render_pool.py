@@ -1,10 +1,11 @@
 """Parallel rendering: byte-equivalence with the serial oracle.
 
-The render pool's contract is strong: whatever the worker count, the
-device output and the client-visible event order must be *identical* to
-the serial block cycle.  These tests build randomized wire graphs (many
-LOUDs, mixed players/recorders, sync marks firing mid-consume), drive a
-manually-stepped hub through both paths, and compare byte-for-byte.
+The procs render backend's contract is strong: whatever the worker
+count, the device output and the client-visible event order must be
+*identical* to the serial block cycle.  These tests build randomized
+wire graphs (many LOUDs, mixed players/recorders, sync marks firing
+mid-consume), drive a manually-stepped hub through both paths, and
+compare byte-for-byte.
 """
 
 import itertools
@@ -23,9 +24,10 @@ from repro.protocol.types import (
 )
 from repro.server import AudioServer
 from repro.server import qprogram
-from repro.server.render_pool import RenderPool
+from repro.server.render_proc import ProcessRenderPool
 
 BLOCKS = 160
+WORKERS = 4     # forced >= 2 so the procs path runs even on 1-core CI
 
 
 def _build_random_graphs(client, server, rng, loud_count):
@@ -34,7 +36,7 @@ def _build_random_graphs(client, server, rng, loud_count):
     for index in range(loud_count):
         loud = client.create_loud()
         loud.select_events(EventMask.QUEUE | EventMask.PLAYER
-                           | EventMask.RECORDER)
+                           | EventMask.RECORDER | EventMask.SYNC)
         if rng.integers(0, 4) == 0:
             # A recording LOUD: microphone -> recorder.
             microphone = loud.create_device(DeviceClass.INPUT)
@@ -64,16 +66,19 @@ def _build_random_graphs(client, server, rng, loud_count):
     return take_sounds
 
 
-def _run_scenario(render_workers, seed, loud_count=8):
+def _run_scenario(backend, seed, loud_count=8):
     """One full run; returns (speaker bytes, events, takes, snapshot)."""
     # Command serials come from a process-global counter; restart it so
     # event details compare exactly across the two runs.
     qprogram._serials = itertools.count(1)
-    server = AudioServer(HardwareConfig(), render_workers=render_workers,
-                         render_min_rows=2)
+    server = AudioServer(HardwareConfig(), render_workers=WORKERS,
+                         render_min_rows=2, render_backend=backend)
     server.start(start_hub=False)   # manual stepping: deterministic time
     client = AudioClient(port=server.port, client_name="equiv")
     try:
+        if backend == "procs":
+            # Every measured tick must already be parallel.
+            assert server.render_pool.wait_ready(30.0) == WORKERS
         server.hub.rooms["desktop"].inject(InjectedSource(
             tones.sine(313.0, 1.0, 8000), repeat=True))
         rng = np.random.default_rng(seed)
@@ -96,8 +101,8 @@ def _run_scenario(render_workers, seed, loud_count=8):
 class TestParallelSerialEquivalence:
     @pytest.mark.parametrize("seed", [3, 17, 41])
     def test_output_and_events_byte_identical(self, seed):
-        serial = _run_scenario(render_workers=1, seed=seed)
-        parallel = _run_scenario(render_workers=4, seed=seed)
+        serial = _run_scenario("serial", seed=seed)
+        parallel = _run_scenario("procs", seed=seed)
         # Device output: bit-identical speaker capture.
         assert np.array_equal(serial[0], parallel[0])
         # Client-visible events: same events, same order.
@@ -106,16 +111,17 @@ class TestParallelSerialEquivalence:
         # Recorded takes: byte-identical.
         assert serial[2] == parallel[2]
         # The parallel run really used the pool; the serial run never did.
-        assert parallel[3]["counters"]["renderpool.rows"] > 0
-        assert parallel[3]["counters"]["renderpool.parallel_ticks"] > 0
-        assert serial[3]["counters"].get("renderpool.rows", 0) == 0
+        assert parallel[3]["counters"]["renderproc.rows"] > 0
+        assert parallel[3]["counters"]["renderproc.parallel_ticks"] > 0
+        assert serial[3]["counters"].get("renderproc.rows", 0) == 0
 
     def test_small_plans_fall_back_to_serial(self):
-        server = AudioServer(HardwareConfig(), render_workers=4,
-                             render_min_rows=4)
+        server = AudioServer(HardwareConfig(), render_workers=2,
+                             render_min_rows=4, render_backend="procs")
         server.start(start_hub=False)
         client = AudioClient(port=server.port, client_name="small")
         try:
+            assert server.render_pool.wait_ready(30.0) == 2
             loud = client.create_loud()
             player = loud.create_device(DeviceClass.PLAYER)
             output = loud.create_device(DeviceClass.OUTPUT)
@@ -124,8 +130,8 @@ class TestParallelSerialEquivalence:
             client.sync()
             server.hub.step(20)
             counters = server.stats_snapshot()["counters"]
-            assert counters["renderpool.serial_ticks"] >= 20
-            assert counters.get("renderpool.parallel_ticks", 0) == 0
+            assert counters["renderproc.serial_ticks"] >= 20
+            assert counters.get("renderproc.parallel_ticks", 0) == 0
         finally:
             client.close()
             server.stop()
@@ -133,30 +139,38 @@ class TestParallelSerialEquivalence:
 
 class TestRenderPoolUnits:
     def test_disabled_below_two_workers(self):
-        server = AudioServer(HardwareConfig(), render_workers=1)
+        server = AudioServer(HardwareConfig(), render_workers=1,
+                             render_backend="procs")
         assert not server.render_pool.enabled
-        assert server.render_pool.render([("q", ())] * 10, 0, 160) is False
-        server.render_pool.shutdown()
+        server.start(start_hub=False)
+        try:
+            # A disabled pool spawns no worker and every tick stays on
+            # the serial path.
+            assert server.render_pool._workers == []
+            server.hub.step(5)
+            counters = server.stats_snapshot()["counters"]
+            assert counters["renderproc.serial_ticks"] == 5
+        finally:
+            server.stop()
 
     def test_replay_preserves_order_and_serial_error_semantics(self):
         server = AudioServer(HardwareConfig())
-        pool = RenderPool(server, workers=4, min_rows=2)
+        pool = ProcessRenderPool(server, workers=4, min_rows=2)
         calls = []
 
         def record(tag):
             calls.append(tag)
 
         boom = RuntimeError("row exploded")
-        results = [
-            ([(record, ("a",)), (record, ("b",))], None),
-            ([(record, ("c",))], boom),
-            ([(record, ("d",))], None),     # after the error: suppressed
-        ]
+        results = {
+            0: ([(record, ("a",)), (record, ("b",))], None),
+            1: ([(record, ("c",))], boom),
+            2: ([(record, ("d",))], None),  # after the error: suppressed
+        }
         with pytest.raises(RuntimeError, match="row exploded"):
-            pool._replay(results)
+            pool._replay([None] * len(results), results)
         assert calls == ["a", "b", "c"]
         pool.shutdown()
-        server.render_pool.shutdown()
 
     def test_event_deferral_buffers_and_replays(self):
         server = AudioServer(HardwareConfig())
@@ -172,7 +186,6 @@ class TestRenderPoolUnits:
         fn, fn_args = buffer[0]
         fn(*fn_args)                        # replay takes the normal path
         assert delivered.value == 1
-        server.render_pool.shutdown()
 
 
 class _FakeSound:

@@ -1,12 +1,11 @@
 """Process-sharded rendering: byte-equivalence, crash recovery, hygiene.
 
-The process backend's contract is the same as the thread pool's, held
-to the same standard: whatever the worker count -- and whatever workers
-die along the way -- device output, recorded takes and the client-
-visible event order must be *identical* to the serial block cycle.
-These tests drive a randomized 16-LOUD graph through both backends and
-compare byte-for-byte, kill workers mid-soak, and audit every
-shared-memory segment's lifetime.
+The process backend's contract: whatever the worker count -- and
+whatever workers die along the way -- device output, recorded takes and
+the client-visible event order must be *identical* to the serial block
+cycle.  These tests drive a randomized 16-LOUD graph through both
+backends and compare byte-for-byte, kill workers mid-soak, and audit
+every shared-memory segment's lifetime.
 """
 
 import itertools
@@ -25,7 +24,6 @@ from repro.protocol.types import (
     RecordTermination,
 )
 from repro.server import AudioServer, qprogram
-from repro.server.render_pool import RenderPool
 from repro.server.render_proc import ProcessRenderPool, compile_row
 
 BLOCKS = 80
@@ -47,7 +45,7 @@ def _build_random_graphs(client, server, rng, loud_count):
     for index in range(loud_count):
         loud = client.create_loud()
         loud.select_events(EventMask.QUEUE | EventMask.PLAYER
-                           | EventMask.RECORDER)
+                           | EventMask.RECORDER | EventMask.SYNC)
         if rng.integers(0, 4) == 0:
             microphone = loud.create_device(DeviceClass.INPUT)
             recorder = loud.create_device(DeviceClass.RECORDER)
@@ -253,13 +251,13 @@ class TestBackendSelection:
         assert isinstance(procs.render_pool, ProcessRenderPool)
         assert procs.render_backend == "procs"
         procs.render_pool.shutdown()
-        threads = AudioServer(HardwareConfig(), render_backend="threads")
-        assert isinstance(threads.render_pool, RenderPool)
-        threads.render_pool.shutdown()
         serial = AudioServer(HardwareConfig(), render_backend="serial")
-        assert isinstance(serial.render_pool, RenderPool)
-        assert not serial.render_pool.enabled
-        serial.render_pool.shutdown()
+        assert serial.render_pool is None
+        assert serial.render_backend == "serial"
+        # Serial is the default: no pool object at all.
+        default = AudioServer(HardwareConfig())
+        assert default.render_pool is None
+        assert default.render_backend == "serial"
 
     def test_env_selection(self, monkeypatch):
         monkeypatch.setenv("REPRO_RENDER_BACKEND", "procs")
@@ -270,6 +268,8 @@ class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="render backend"):
             AudioServer(HardwareConfig(), render_backend="gpu")
+        with pytest.raises(ValueError, match="render backend"):
+            AudioServer(HardwareConfig(), render_backend="threads")
 
     def test_procs_disabled_below_two_workers_renders_serially(self):
         server = AudioServer(HardwareConfig(), render_backend="procs",
@@ -343,18 +343,20 @@ class TestRowCompilation:
             server.stop()
 
 
-class TestThreadPoolShutdownJoins:
-    def test_stop_during_ticks_leaves_no_render_threads(self):
-        """Regression for shutdown(wait=False): stopping the server
-        while the hub free-runs must join every render worker before
-        teardown returns, leaving no live render-worker threads."""
-        import threading
+class TestStopJoinsRenderWorkers:
+    def test_stop_during_ticks_leaves_no_render_workers(self):
+        """Stopping the server while the hub free-runs must join every
+        render worker process and unlink every shared-memory segment
+        before teardown returns."""
+        import multiprocessing
 
-        server = AudioServer(HardwareConfig(), render_workers=4,
-                             render_min_rows=2, render_backend="threads")
+        before = _shm_entries()
+        server = AudioServer(HardwareConfig(), render_workers=WORKERS,
+                             render_min_rows=2, render_backend="procs")
         server.start(start_hub=True)    # free-running hub: ticks racing
         client = AudioClient(port=server.port, client_name="stopper")
         try:
+            assert server.render_pool.wait_ready(30.0) == WORKERS
             for index in range(6):
                 loud = client.create_loud()
                 output = loud.create_device(DeviceClass.OUTPUT)
@@ -369,7 +371,7 @@ class TestThreadPoolShutdownJoins:
         finally:
             client.close()
             server.stop()
-        alive = [thread.name for thread in threading.enumerate()
-                 if thread.name.startswith("render-worker")
-                 and thread.is_alive()]
+        alive = [child.name for child in multiprocessing.active_children()
+                 if child.name.startswith("render-proc")]
         assert alive == []
+        assert _shm_entries() - before == set()

@@ -676,3 +676,29 @@ class TestTrunkSupervision:
                 break
             time.sleep(0.01)
         assert pair.gw_b._m_setup_refused.value == refused_before + 1
+
+
+class TestListenerStop:
+    def test_stop_wakes_blocked_accept_thread(self):
+        """Regression: closing a listener does not wake a thread blocked
+        in accept() on Linux, so stop() waited out its 2 s join and
+        leaked the accept thread.  Every listener must stop at once."""
+        from repro.chaos import ChaosProxy
+        from repro.trunk.discovery import MeshRegistry
+
+        gateway = TrunkGateway(TelephoneExchange(RATE), name="A")
+        gateway.listen("127.0.0.1", 0)
+        gateway.start()
+        registry = MeshRegistry("127.0.0.1", 0).start()
+        proxy = ChaosProxy(("127.0.0.1", gateway.port)).start()
+        listeners = [(gateway, gateway._accept_thread),
+                     (registry, registry._thread),
+                     (proxy, proxy._accept_thread)]
+        time.sleep(0.2)                 # every thread blocks in accept()
+        for owner, thread in listeners:
+            started = time.perf_counter()
+            owner.stop()
+            elapsed = time.perf_counter() - started
+            assert elapsed < 0.05, "%s.stop() took %.3f s" % (
+                type(owner).__name__, elapsed)
+            assert not thread.is_alive()
