@@ -148,8 +148,8 @@ def _place_call(exchanges, gateways, caller_node, caller, callee,
                 sink.append(block)
         if len(heard_b) >= 3 and len(heard_a) >= 3:
             break
-    # mu-law decode(encode(x)) is a projection: the expected audio is
-    # bit-identical however many tandem transcodes sit in the path.
+    # Tandems cut the bearer through untranscoded: the expected audio is
+    # exactly one mu-law round trip, however many hops sit in the path.
     two_way = (
         any(np.array_equal(h, mulaw_decode(mulaw_encode(sent_a)))
             for h in heard_b)
@@ -219,6 +219,11 @@ def test_mesh_soak_discovery_tandem_partition(report):
                           for gw in gateways.values())
         adverts_out = sum(gw._m_adverts_out.value
                           for gw in gateways.values())
+        # B tandemed the first call: its bearer must have been cut
+        # through, not re-terminated in B's jitter buffers.
+        transit_frames = gateways["B"]._m_transit.value
+        jitter_underruns = sum(gw._m_underruns.value
+                               for gw in gateways.values())
         record_perf("mesh.soak.converge",
                     (len(NODES) - 1) * len(NODES) / converge_seconds,
                     sink="BENCH_MESH.json",
@@ -232,6 +237,8 @@ def test_mesh_soak_discovery_tandem_partition(report):
                     loop_refused=int(loop_refused),
                     hop_refused=int(hop_refused),
                     adverts_out=int(adverts_out),
+                    transit_frames=int(transit_frames),
+                    jitter_underruns=int(jitter_underruns),
                     chaos={"latency": proxy.schedule.latency,
                            "jitter": proxy.schedule.jitter})
         report.row("E17", "mesh convergence (5 nodes, 0 static routes)",

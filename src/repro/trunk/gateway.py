@@ -21,7 +21,9 @@ reconnected after loss with the Alib
 :class:`~repro.alib.connection.RetryPolicy` backoff (attempted from
 short-lived connector threads; the tick never blocks).  Bearer audio is
 carried as sequence-numbered mu-law frames through a per-call
-:class:`~repro.trunk.jitter.JitterBuffer` on the receiving side.
+:class:`~repro.trunk.jitter.JitterBuffer` on the terminating side; a
+node that only relays a call between two trunks cuts its bearer
+through untouched (see :meth:`TrunkGateway._bearer_in`).
 
 :meth:`TrunkGateway.enable_mesh` adds the dynamic routing plane on top
 (docs/TELEPHONY.md, "Mesh routing"): peers are discovered through a
@@ -55,6 +57,7 @@ from ..alib.connection import RetryPolicy
 from ..dsp.encodings import MULAW_DECODE_TABLE, mulaw_encode
 from ..obs import NULL_REGISTRY
 from ..protocol.wire import ConnectionClosed
+from ..telephony.call import CallState
 from ..telephony.line import HookState, Line
 from .discovery import (
     DEFAULT_POLL_INTERVAL,
@@ -424,10 +427,13 @@ class TrunkGateway:
         #: link -> {call_id -> leg}; all mutation happens on the tick
         #: thread or under _state_lock.
         self._legs: dict[TrunkLink, dict[int, _TrunkLeg]] = {}
-        #: link -> [(call_id, seq, samples)] staged this flush window;
-        #: touched only on the tick thread (deliver_audio runs inside
-        #: the exchange's block cycle), so it needs no lock.
-        self._stage: dict[TrunkLink, list] = {}
+        #: link -> (spoken, transit) entry lists staged this flush
+        #: window, each entry ``(call_id, seq, block)``: ``spoken``
+        #: blocks are int16 PCM a local party said (encoded at flush),
+        #: ``transit`` blocks raw mu-law cut through from another trunk
+        #: leg.  Touched only on the tick thread (deliver_audio runs
+        #: inside the exchange's block cycle), so it needs no lock.
+        self._stage: dict[TrunkLink, tuple[list, list]] = {}
         self._state_lock = threading.Lock()
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
@@ -451,6 +457,7 @@ class TrunkGateway:
         self._m_underruns = m.counter("trunk.jitter.underruns")
         self._m_jitter_shed = m.counter("trunk.jitter.shed_samples")
         self._m_outbound_shed = m.counter("trunk.outbound.shed_audio_frames")
+        self._m_dead_link = m.counter("trunk.outbound.dead_link_frames")
         self._m_batch_out = m.counter("trunk.batch.frames_out")
         self._m_batch_in = m.counter("trunk.batch.frames_in")
         self._m_batch_entries_out = m.counter("trunk.batch.entries_out")
@@ -464,6 +471,7 @@ class TrunkGateway:
         self._m_hop_refused = m.counter("trunk.route.hop_refused")
         self._m_failovers = m.counter("trunk.route.failovers")
         self._m_tandem = m.counter("trunk.route.tandem_calls")
+        self._m_transit = m.counter("trunk.route.transit_frames")
         self._m_route_entries = m.gauge("trunk.route.entries")
         self._m_mesh_peers = m.gauge("mesh.peers")
         self._m_polls = m.counter("mesh.discovery.polls")
@@ -712,6 +720,8 @@ class TrunkGateway:
 
     def send_on(self, link: TrunkLink | None, frame: TrunkFrame) -> None:
         if link is None or not link.alive:
+            if frame.type is FrameType.AUDIO:
+                self._m_dead_link.inc()
             return
         # lock-ok: TrunkLink.send is a bounded queue handoff, not socket I/O
         if link.send(frame):
@@ -729,33 +739,44 @@ class TrunkGateway:
         """
         seq = leg._seq_out
         leg._seq_out += 1
-        self._stage.setdefault(leg.link, []).append(
+        self._stage_for(leg.link)[0].append(
             (leg.call_id, seq, np.asarray(samples, dtype=np.int16)))
+
+    def _stage_for(self, link: TrunkLink) -> tuple[list, list]:
+        stage = self._stage.get(link)
+        if stage is None:
+            stage = self._stage[link] = ([], [])
+        return stage
 
     def _flush_staged(self) -> None:
         """Encode and ship every link's staged audio (tick thread).
 
         One ``np.concatenate`` + one mu-law table take covers every
-        staged call on a link; the batch entries are zero-copy views
-        into that single encode.
+        spoken block on a link; the batch entries are zero-copy views
+        into that single encode.  Transit blocks are already mu-law and
+        join the same batch as they are, so each link still gets one
+        ``send_batch`` per tick.
         """
         if not self._stage:
             return
         stage = self._stage
         self._stage = {}
-        for link, entries in stage.items():
+        for link, (spoken, transit) in stage.items():
             if not link.alive:
+                self._m_dead_link.inc(len(spoken) + len(transit))
                 continue
-            blocks = [samples for _call_id, _seq, samples in entries]
-            pcm = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-            encoded = memoryview(mulaw_encode(pcm))
-            batch = []
-            position = 0
-            for call_id, seq, samples in entries:
-                length = len(samples)
-                batch.append((call_id, seq,
-                              encoded[position:position + length]))
-                position += length
+            batch = transit
+            if spoken:
+                blocks = [samples for _call_id, _seq, samples in spoken]
+                pcm = (blocks[0] if len(blocks) == 1
+                       else np.concatenate(blocks))
+                encoded = memoryview(mulaw_encode(pcm))
+                position = 0
+                for call_id, seq, samples in spoken:
+                    length = len(samples)
+                    batch.append((call_id, seq,
+                                  encoded[position:position + length]))
+                    position += length
             accepted = link.send_batch(batch)
             if accepted:
                 self._m_frames_out.inc(accepted)
@@ -774,9 +795,9 @@ class TrunkGateway:
             while link.inbound:
                 self._handle_frame(link, link.inbound.popleft())
         self._pump_audio(frames)
-        # Everything local parties spoke this block cycle (plus transit
-        # audio the pump just routed leg-to-leg) goes out as one batch
-        # per link.
+        # Everything local parties spoke this block cycle, plus transit
+        # bearer cut through as it arrived, goes out as one batch per
+        # link.
         self._flush_staged()
         if self.mesh_enabled:
             self._flush_adverts()
@@ -1045,9 +1066,7 @@ class TrunkGateway:
             self._m_frames_in.inc()
             leg = self._leg_for(link, frame.call_id)
             if leg is not None:
-                # Raw bytes go straight into the ring; decode happens
-                # once per pop as a single table take.
-                leg.jitter.push(frame.seq, frame.payload)
+                self._bearer_in(leg, frame.seq, frame.payload)
             return
         if frame.type is FrameType.AUDIO_BATCH:
             entries = frame.entries
@@ -1059,7 +1078,7 @@ class TrunkGateway:
             for call_id, seq, payload in entries:
                 leg = by_call.get(call_id)
                 if leg is not None:
-                    leg.jitter.push(seq, payload)
+                    self._bearer_in(leg, seq, payload)
             return
         self._m_signaling_in.inc()
         if frame.type is FrameType.ROUTE_ADVERT:
@@ -1132,25 +1151,57 @@ class TrunkGateway:
         # else: dial already failed the call; the leg's call_failed sent
         # the RELEASE and deregistered itself.
 
-    # -- bearer pump ----------------------------------------------------------
+    # -- bearer in: cut-through or jitter buffer ------------------------------
+
+    def _bearer_in(self, leg: _TrunkLeg, seq: int, payload) -> None:
+        """One received bearer block for ``leg`` (tick thread).
+
+        On a transit call -- the leg's other party is itself a trunk
+        leg, as in a tandem or a call forwarded across trunks -- the
+        raw mu-law bytes are cut through to the far leg's link in this
+        same tick, keeping the upstream sequence number: no jitter
+        buffer, decode, route or re-encode here, so jitter is absorbed
+        once, at the terminating node.  A leg whose other party is a
+        local line terminates the bearer: raw bytes go into its jitter
+        buffer and are decoded once per pop by the pump.
+        """
+        call = self.exchange.call_for(leg)
+        far = call.other_party(leg) if call is not None else None
+        if not isinstance(far, _TrunkLeg):
+            leg.jitter.push(seq, payload)
+            return
+        if call.state is not CallState.CONNECTED:
+            return
+        # Link and call id are read now, not at call setup, so a far
+        # leg that failed over to another path is followed.
+        link = far.link
+        if link is None or not link.alive:
+            self._m_dead_link.inc()
+            return
+        self._stage_for(link)[1].append((far.call_id, seq, payload))
+        self._m_transit.inc()
+
+    # -- bearer pump (terminating legs) ----------------------------------------
 
     def _pump_audio(self, frames: int) -> None:
         with self._state_lock:
             legs = [leg for by_call in self._legs.values()
                     for leg in by_call.values()]
-        from ..telephony.call import CallState
-
         # Legs with nothing buffered (never primed) are skipped outright
         # -- routing explicit silence and routing nothing sound
         # identical to the far side, and a 256-call link's quiet
         # direction would otherwise pay the whole pump for zeros.
         # Each entry pairs the leg with its (already state-checked) call
         # so delivery below can go straight to the far party instead of
-        # re-resolving through exchange.route_audio.
+        # re-resolving through exchange.route_audio.  Transit legs are
+        # _bearer_in's alone: even a poppable one (prime 0, or audio
+        # buffered before a forward made the call transit) must not be
+        # re-sent under this node's own sequence numbers.
         voiced = [(leg, call) for leg in legs
                   if leg.jitter.poppable()
                   and (call := self.exchange.call_for(leg)) is not None
-                  and call.state is CallState.CONNECTED]
+                  and call.state is CallState.CONNECTED
+                  and not isinstance(call.other_party(leg), _TrunkLeg)]
         if not voiced:
             return
         if len(voiced) == 1:

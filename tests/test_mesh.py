@@ -371,8 +371,8 @@ def _call_with_audio(fleet, caller_line, callee_line):
                 sink.append(block)
         if len(heard_b) >= 3 and len(heard_a) >= 3:
             break
-    # mu-law decode(encode(x)) is a projection, so the expected audio is
-    # identical no matter how many tandem transcodes it crossed.
+    # Tandems cut the bearer through untranscoded, so the audio crosses
+    # exactly one mu-law round trip end to end, however many hops.
     assert any(np.array_equal(h, mulaw_decode(mulaw_encode(sent_a)))
                for h in heard_b), "caller->callee audio lost"
     assert any(np.array_equal(h, mulaw_decode(mulaw_encode(sent_b)))
@@ -593,8 +593,146 @@ class TestOldMinorInterop:
             # out to the old peer.
             assert gw_b._m_tandem.value == 1
             assert gw_c._m_adverts_in.value == 0
+            # Bearer was cut through onto the per-frame (minor 0) link
+            # too, not re-terminated at B.
+            assert gw_b._m_transit.value > 0
         finally:
             fleet.stop()
+
+
+def _legs_of(gateway):
+    return [leg for by_call in gateway._legs.values()
+            for leg in by_call.values()]
+
+
+class TestTandemCutThrough:
+    """A tandem relays transit bearer raw, in the tick it arrives."""
+
+    def test_tandem_never_buffers_transit_bearer(self):
+        fleet = MeshFleet(LINE_ABC)
+        try:
+            assert fleet.pump_until(lambda: fleet.knows("A", "300", hops=2))
+            gw_b = fleet.gateways["B"]
+            watched = []
+            pump = fleet.pump
+
+            def pump_and_watch(blocks=1):
+                pump(blocks)
+                legs = _legs_of(gw_b)
+                watched.append(len(legs))
+                for leg in legs:
+                    assert leg.jitter.depth_samples == 0
+                    assert leg.jitter._next_seq is None
+
+            fleet.pump = pump_and_watch
+            alice = fleet.exchanges["A"].add_line("100")
+            carol = fleet.exchanges["C"].add_line("300")
+            _call_with_audio(fleet, alice, carol)
+            # All 20 blocks each way cross B, and each terminating end
+            # receives the far end's own sequence 0..19 in order.
+            (at_a,) = _legs_of(fleet.gateways["A"])
+            (at_c,) = _legs_of(fleet.gateways["C"])
+            assert fleet.pump_until(
+                lambda: at_a.jitter._next_seq == at_c.jitter._next_seq
+                == 20)
+            assert gw_b._m_transit.value == 40
+            assert max(watched) == 2          # both transit legs watched
+        finally:
+            fleet.stop()
+
+    def _node(self, name):
+        exchange = TelephoneExchange(RATE)
+        gateway = TrunkGateway(exchange, name=name,
+                               metrics=MetricsRegistry())
+        gateway.listen("127.0.0.1", 0)
+        gateway.start()
+        return exchange, gateway
+
+    def test_sequence_gap_concealed_once_at_the_terminating_node(self):
+        ex_b, gw_b = self._node("B")
+        ex_c, gw_c = self._node("C")
+        sock = None
+
+        def pump(blocks=1):
+            for _ in range(blocks):
+                ex_b.tick(BLOCK)
+                ex_c.tick(BLOCK)
+                time.sleep(0.002)
+
+        def pump_until(predicate, blocks=500):
+            for _ in range(blocks):
+                if predicate():
+                    return True
+                pump()
+            return predicate()
+
+        try:
+            gw_b.add_route("3", "127.0.0.1", gw_c.port)
+            assert gw_b.wait_connected(5.0)
+            carol = ex_c.add_line("300")
+            sock = socket.create_connection(("127.0.0.1", gw_b.port),
+                                            timeout=2.0)
+            sock.sendall(Handshake("X", sample_rate=RATE).encode())
+            Handshake.read_from(sock)
+            sock.sendall(TrunkFrame(
+                FrameType.SETUP2, 1, number="300", caller_id="100",
+                hops=0, via=("X",)).encode())
+            assert pump_until(lambda: carol.ringing)
+            carol.off_hook()
+            (inbound,) = [leg for leg in _legs_of(gw_b)
+                          if leg.link.name == "X"]
+            assert pump_until(
+                lambda: ex_b.call_for(inbound) is not None
+                and ex_b.call_for(inbound).state is CallState.CONNECTED)
+            # Frames 2..4 never arrive; four frames past the gap fill
+            # the terminating buffer's reorder window.
+            sent = np.arange(1, BLOCK + 1, dtype=np.int16) * 37
+            payload = mulaw_encode(sent)
+            sock.sendall(TrunkFrame(FrameType.AUDIO_BATCH, entries=tuple(
+                (1, seq, payload) for seq in (0, 1, 5, 6, 7, 8))).encode())
+            (terminating,) = _legs_of(gw_c)
+            assert pump_until(lambda: terminating.jitter._next_seq == 9)
+            assert gw_b._m_transit.value == 6
+            assert terminating.jitter.lost_frames == 3
+            for leg in _legs_of(gw_b):
+                assert leg.jitter.lost_frames == 0
+                assert leg.jitter._next_seq is None
+            heard = []
+            assert pump_until(lambda: heard.append(
+                carol.receive_audio(BLOCK)) or len(heard) >= 12)
+            assert any(np.array_equal(block, mulaw_decode(payload))
+                       for block in heard)
+            # The folded counters agree: concealed once, at C.
+            assert gw_c._m_lost.value == 3
+            assert gw_b._m_lost.value == 0
+
+            # A transit block whose far link dies is dropped and
+            # counted, whether it dies before the forward or between
+            # staging and the flush.
+            onward = gw_b.routes[0].link
+            gw_b._handle_frame(inbound.link, TrunkFrame(
+                FrameType.AUDIO, 1, seq=9, payload=payload))
+            onward.close()
+            gw_b._handle_frame(inbound.link, TrunkFrame(
+                FrameType.AUDIO, 1, seq=10, payload=payload))
+            gw_b._flush_staged()
+            assert gw_b._m_dead_link.value == 2
+            assert gw_b._m_transit.value == 7
+            # Local bearer sent into a dead link lands in the same
+            # counter; signaling does not.
+            gw_b.send_on(onward, TrunkFrame(FrameType.AUDIO, 1, seq=0,
+                                            payload=payload))
+            gw_b.send_on(onward, TrunkFrame(FrameType.RELEASE, 1,
+                                            reason="hangup"))
+            assert gw_b._m_dead_link.value == 3
+            # The next tick reaps the dead link and releases the call.
+            pump()
+            assert ex_b.call_for(inbound) is None
+        finally:
+            if sock is not None:
+                sock.close()
+            gw_b.stop()
+            gw_c.stop()
 
 
 class TestMeshVisibility:
