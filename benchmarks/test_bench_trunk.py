@@ -139,11 +139,12 @@ def test_trunk_soak_under_chaos(report):
 #
 # scaled(256, 32) concurrent calls ride ONE trunk link; the callers all
 # speak every tick, driven as fast as the exchanges can tick (no
-# real-time pacing).  The same workload runs twice -- once with
-# AUDIO_BATCH negotiated (minor 1) and once with batching disabled, the
-# per-frame PR 5 oracle path -- and the batched bearer must move >= 3x
-# the frames/s with sample-identical far-end audio and zero
-# jitter-buffer regressions.
+# real-time pacing).  Every block must arrive sample-identical with zero
+# jitter-buffer regressions, and the link must spend at most a couple of
+# syscalls per tick however many calls ride it: AUDIO_BATCH packs a
+# whole flush window into one frame and one sendall.  A writer that sent
+# one frame per call would need calls x ticks of them.  frames/s is
+# recorded, not gated.
 
 import numpy as np
 
@@ -156,8 +157,12 @@ BLOCK = 160
 FANOUT_CALLS = scaled(256, 32)
 #: Measured talk window, in 20 ms blocks per call.
 FANOUT_TALK_TICKS = scaled(50, 20)
-#: The acceptance gate: batched bearer throughput vs the oracle.
-FANOUT_MIN_SPEEDUP = 3.0
+#: Syscall allowance per talk tick: one flush window per tick, which a
+#: reader may need two recvs to land when TCP splits it.
+FANOUT_SYSCALLS_PER_TICK = 2
+#: Syscalls outside the talk window: call setup signaling, the drain
+#: ticks after it and the odd idle keepalive.
+FANOUT_SETUP_SYSCALLS = 16
 
 
 def _call_stream(index):
@@ -167,7 +172,7 @@ def _call_stream(index):
     return (ramp + 100 + index).astype(np.int16)
 
 
-def _measure_fanout(batch_enabled, calls, talk_ticks):
+def _measure_fanout(calls, talk_ticks):
     """Run the fanout workload once; returns throughput + health."""
     from repro.obs import MetricsRegistry
     from repro.trunk import TrunkGateway
@@ -182,14 +187,12 @@ def _measure_fanout(batch_enabled, calls, talk_ticks):
     ex_b = TelephoneExchange(RATE)
     gw_b = TrunkGateway(ex_b, name="fan-b", metrics=MetricsRegistry(),
                         outbound_bound=outbound_bound,
-                        jitter_depth_seconds=depth_seconds,
-                        batch_enabled=batch_enabled)
+                        jitter_depth_seconds=depth_seconds)
     gw_b.listen("127.0.0.1", 0)
     gw_b.start()
     gw_a = TrunkGateway(ex_a, name="fan-a", metrics=MetricsRegistry(),
                         outbound_bound=outbound_bound,
-                        jitter_depth_seconds=depth_seconds,
-                        batch_enabled=batch_enabled)
+                        jitter_depth_seconds=depth_seconds)
     gw_a.add_route("9", "127.0.0.1", gw_b.port)
     gw_a.start()
 
@@ -296,50 +299,37 @@ def _fanout_healthy(stats):
 
 def test_trunk_fanout_fast_path(report):
     calls, talk_ticks = FANOUT_CALLS, FANOUT_TALK_TICKS
+    syscall_bound = (FANOUT_SYSCALLS_PER_TICK * talk_ticks
+                     + FANOUT_SETUP_SYSCALLS)
 
-    per_frame = _measure_fanout(False, calls, talk_ticks)
-    batched = _measure_fanout(True, calls, talk_ticks)
-    speedup = batched["frames_per_sec"] / per_frame["frames_per_sec"]
-    if speedup < FANOUT_MIN_SPEEDUP:
-        # One re-measure guards against scheduler noise on a loaded box.
-        per_frame = _measure_fanout(False, calls, talk_ticks)
-        batched = _measure_fanout(True, calls, talk_ticks)
-        speedup = batched["frames_per_sec"] / per_frame["frames_per_sec"]
+    batched = _measure_fanout(calls, talk_ticks)
 
-    record_perf("trunk.fanout.per_frame", per_frame["frames_per_sec"],
-                sink="BENCH_TRUNK.json", calls=calls,
-                talk_ticks=talk_ticks, **per_frame)
     record_perf("trunk.fanout.batched", batched["frames_per_sec"],
                 sink="BENCH_TRUNK.json", calls=calls,
-                talk_ticks=talk_ticks, **batched)
-    record_perf("trunk.fanout.speedup", speedup,
-                sink="BENCH_TRUNK.json", gate_min=FANOUT_MIN_SPEEDUP,
-                sample_identical=(batched["sample_identical"]
-                                  and per_frame["sample_identical"]),
-                zero_regressions=(_fanout_healthy(batched)
-                                  and _fanout_healthy(per_frame)))
+                talk_ticks=talk_ticks, syscall_bound=syscall_bound,
+                zero_regressions=_fanout_healthy(batched), **batched)
 
-    report.row("E16", "per-frame bearer (oracle)",
-               "%.0f frames/s" % per_frame["frames_per_sec"],
-               "%d sendalls, %d recvs"
-               % (per_frame["sendalls"], per_frame["recvs"]))
     report.row("E16", "batched bearer (AUDIO_BATCH)",
                "%.0f frames/s" % batched["frames_per_sec"],
-               "%d sendalls, %d batches x ~%d calls"
-               % (batched["sendalls"], batched["batch_frames"],
+               "%d batches x ~%d calls"
+               % (batched["batch_frames"],
                   batched["batch_entries"]
                   // max(1, batched["batch_frames"])))
-    report.row("E16", "bearer fast-path speedup",
-               "%.2fx" % speedup,
-               ">= %.1fx, sample-identical" % FANOUT_MIN_SPEEDUP)
+    report.row("E16", "link syscalls (sendall / recv)",
+               "%d / %d" % (batched["sendalls"], batched["recvs"]),
+               "<= %d each (%d calls x %d ticks)"
+               % (syscall_bound, calls, talk_ticks))
 
-    # Health gates: every block arrived bit-exact in BOTH modes, with
-    # no loss, lateness or shedding anywhere in the pipeline.
-    for label, stats in (("per_frame", per_frame), ("batched", batched)):
-        assert stats["bearer_blocks"] == calls * talk_ticks, \
-            "%s: wire lost bearer blocks: %r" % (label, stats)
-        assert _fanout_healthy(stats), "%s: unhealthy: %r" % (label, stats)
+    # Health gates: every block arrived bit-exact, with no loss,
+    # lateness or shedding anywhere in the pipeline.
+    assert batched["bearer_blocks"] == calls * talk_ticks, \
+        "wire lost bearer blocks: %r" % batched
+    assert _fanout_healthy(batched), "unhealthy: %r" % batched
     assert batched["batch_frames"] > 0
-    assert per_frame["batch_frames"] == 0
-    assert speedup >= FANOUT_MIN_SPEEDUP, \
-        "batched bearer only %.2fx the per-frame oracle" % speedup
+    # Syscall gate: independent of the call count and of the host.
+    assert batched["sendalls"] <= syscall_bound, \
+        "sender spent %d sendalls, bound %d" % (batched["sendalls"],
+                                               syscall_bound)
+    assert batched["recvs"] <= syscall_bound, \
+        "receiver spent %d recvs, bound %d" % (batched["recvs"],
+                                              syscall_bound)

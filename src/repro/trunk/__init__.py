@@ -3,15 +3,16 @@
 A :class:`TrunkGateway` attached to a server's
 :class:`~repro.telephony.exchange.TelephoneExchange` makes numbers homed
 on *other* servers dialable here: a static prefix route table maps
-numbers to peer gateways, signaling (SETUP/ALERTING/ANSWER/RELEASE/DTMF)
-and sequence-numbered mu-law bearer audio travel a compact
-length-prefixed wire format, and remote calls surface locally as
-Line-compatible endpoints so every exchange semantic works unchanged.
+numbers to peer gateways, signaling (SETUP2/ALERTING/ANSWER/RELEASE/
+DTMF) and sequence-numbered mu-law bearer audio (AUDIO_BATCH) travel a
+compact length-prefixed wire format of one protocol version, and remote
+calls surface locally as Line-compatible endpoints so every exchange
+semantic works unchanged.
 
-The mesh plane (minor 2) removes the hand-wiring: gateways find each
-other through a :class:`MeshRegistry`, learn the fleet's numbering plan
-from ROUTE_ADVERT frames into a :class:`RouteTable`, and tandem-switch
-calls across intermediate nodes.  See docs/TELEPHONY.md for the model
+The mesh plane removes the hand-wiring: gateways find each other
+through a :class:`MeshRegistry`, learn the fleet's numbering plan from
+ROUTE_ADVERT frames into a :class:`RouteTable`, and tandem-switch calls
+across intermediate nodes.  See docs/TELEPHONY.md for the model
 and failure semantics.
 """
 
@@ -33,8 +34,6 @@ from .jitter import JitterBuffer
 from .link import TrunkLink
 from .routing import DEFAULT_MAX_HOPS, RouteTable
 from .wire import (
-    BATCH_MIN_MINOR,
-    MESH_MIN_MINOR,
     UNREACHABLE_HOPS,
     FrameStream,
     FrameType,
@@ -47,11 +46,10 @@ from .wire import (
 )
 
 __all__ = [
-    "BATCH_MIN_MINOR", "DEFAULT_MAX_HOPS", "FrameStream", "FrameType",
-    "Handshake", "InboundLeg", "JitterBuffer", "MESH_MIN_MINOR",
-    "MeshDiscovery", "MeshPeer", "MeshRegistry", "PeerRecord",
-    "RegistryProtocolError", "RemoteLine", "RouteTable", "TrunkFrame",
-    "TrunkGateway", "TrunkLink", "TrunkProtocolError", "TrunkRoute",
-    "UNREACHABLE_HOPS", "decode_frame", "encode_audio_batch",
-    "parse_route", "read_frame",
+    "DEFAULT_MAX_HOPS", "FrameStream", "FrameType", "Handshake",
+    "InboundLeg", "JitterBuffer", "MeshDiscovery", "MeshPeer",
+    "MeshRegistry", "PeerRecord", "RegistryProtocolError", "RemoteLine",
+    "RouteTable", "TrunkFrame", "TrunkGateway", "TrunkLink",
+    "TrunkProtocolError", "TrunkRoute", "UNREACHABLE_HOPS",
+    "decode_frame", "encode_audio_batch", "parse_route", "read_frame",
 ]

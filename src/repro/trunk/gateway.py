@@ -8,10 +8,10 @@ treatment, no-answer timers, forwarding, caller ID, hangup supervision
 -- works unchanged end to end:
 
 * an **outbound leg** (:class:`RemoteLine`) fronts a remote *callee*:
-  ringing it sends SETUP down the route's link, and ANSWER / RELEASE
+  ringing it sends SETUP2 down the route's link, and ANSWER / RELEASE
   frames come back as answer / failure signaling;
 * an **inbound leg** (:class:`InboundLeg`) fronts the remote *caller*:
-  a SETUP frame dials the local number exactly as a local line would,
+  a SETUP2 frame dials the local number exactly as a local line would,
   and local signaling (answered, busy, hangup) flows back as frames.
 
 Routing starts from a static longest-prefix table (``--trunk-route
@@ -73,9 +73,8 @@ from .link import (
     TrunkLink,
 )
 from .routing import DEFAULT_MAX_HOPS, RouteTable
-from .wire import BATCH_MIN_MINOR, MAX_ADVERT_ENTRIES, MESH_MIN_MINOR, \
-    TRUNK_MINOR, UNREACHABLE_HOPS, FrameType, Handshake, TrunkFrame, \
-    TrunkProtocolError, read_frame
+from .wire import MAX_ADVERT_ENTRIES, UNREACHABLE_HOPS, FrameType, \
+    Handshake, TrunkFrame, TrunkProtocolError
 
 log = logging.getLogger(__name__)
 
@@ -209,21 +208,16 @@ class _TrunkLeg(Line):
     def deliver_audio(self, samples: np.ndarray) -> None:
         """The local party spoke: relay the block as bearer audio.
 
-        On a batching link the block is *staged*: the gateway's tick
-        encodes every staged call's audio for this window in one table
-        take and ships it as a single AUDIO_BATCH.  Old-minor links get
-        the per-frame encode + AUDIO frame, exactly as before the batch
-        path existed.
+        The block is *staged*: the gateway's tick encodes every staged
+        call's audio for this window in one table take and ships it as
+        a single AUDIO_BATCH per link.  A block for a missing or dead
+        link is dropped and counted.
         """
         link = self.link
-        if link is not None and link.alive and link.batching:
-            self.gateway.stage_audio(self, samples)
+        if link is None or not link.alive:
+            self.gateway._m_dead_link.inc()
             return
-        payload = mulaw_encode(np.asarray(samples, dtype=np.int16))
-        frame = TrunkFrame(FrameType.AUDIO, self.call_id,
-                           seq=self._seq_out, payload=payload)
-        self._seq_out += 1
-        self._send(frame)
+        self.gateway.stage_audio(self, samples)
 
     def deliver_dtmf(self, digits: str) -> None:
         """The local party pressed keys: relay them as signaling."""
@@ -277,7 +271,7 @@ class RemoteLine(_TrunkLeg):
             self.gateway._m_tandem.inc()
 
     def _dial_next(self) -> bool:
-        """Send SETUP down the next viable candidate; False when none
+        """Send SETUP2 down the next viable candidate; False when none
         is left (dead links and via-listed next hops are skipped)."""
         while self._candidates:
             link = self._candidates.pop(0)
@@ -296,18 +290,18 @@ class RemoteLine(_TrunkLeg):
 
     def _send_setup(self, link: TrunkLink) -> None:
         info = self.caller_info
-        if link.mesh and self.gateway.mesh_enabled:
-            self._send(TrunkFrame(
-                FrameType.SETUP2, self.call_id, number=self.number,
-                caller_id=info.number,
-                forwarded_from=info.forwarded_from or "",
-                hops=self._hops,
-                via=self._via + (self.gateway.name,)))
-        else:
-            self._send(TrunkFrame(
-                FrameType.SETUP, self.call_id, number=self.number,
-                caller_id=info.number,
-                forwarded_from=info.forwarded_from or ""))
+        # Only a mesh gateway signs the via trail: mesh names are unique
+        # by contract, while a static gateway's name may be a default
+        # shared with its peer and would refuse every call as a loop.
+        # Static paths are still bounded by the hop count.
+        via = self._via
+        if self.gateway.mesh_enabled:
+            via += (self.gateway.name,)
+        self._send(TrunkFrame(
+            FrameType.SETUP2, self.call_id, number=self.number,
+            caller_id=info.number,
+            forwarded_from=info.forwarded_from or "",
+            hops=self._hops, via=via))
 
     def failover(self, reason: str) -> bool:
         """Mid-dial path failure: retry the next-best route.
@@ -356,9 +350,9 @@ class InboundLeg(_TrunkLeg):
                  link: TrunkLink, call_id: int) -> None:
         super().__init__(number, exchange, gateway, link, call_id)
         self.hook = HookState.OFF_HOOK    # the remote caller is off hook
-        #: Tandem context from SETUP2 (empty/zero for plain SETUP): the
-        #: gateways this call has already left, and how many trunk hops
-        #: it has crossed.  A tandem dial onward inherits both.
+        #: Tandem context from SETUP2: the mesh gateways this call has
+        #: already left, and how many trunk hops it has crossed.  A
+        #: tandem dial onward inherits both.
         self.via: tuple = ()
         self.hops = 0
 
@@ -390,19 +384,12 @@ class TrunkGateway:
                  jitter_depth_seconds: float = 0.32,
                  jitter_prime_seconds: float = 0.04,
                  retry: RetryPolicy | None = None,
-                 connect_timeout: float = 2.0,
-                 batch_enabled: bool = True) -> None:
+                 connect_timeout: float = 2.0) -> None:
         self.exchange = exchange
         self.name = name or "trunk-gateway"
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
         self.keepalive_interval = keepalive_interval
         self.outbound_bound = outbound_bound
-        #: Whether this gateway offers the AUDIO_BATCH fast path.  Off,
-        #: it announces minor 0 and every link runs the per-frame oracle
-        #: path -- the knob the E16 bench (and old-peer interop tests)
-        #: turn.
-        self.batch_enabled = batch_enabled
-        self.wire_minor = TRUNK_MINOR if batch_enabled else 0
         self.jitter_depth_seconds = jitter_depth_seconds
         self.jitter_prime_seconds = jitter_prime_seconds
         self.retry = retry or RetryPolicy(attempts=1, base_delay=0.05,
@@ -719,16 +706,10 @@ class TrunkGateway:
     # -- frames out -----------------------------------------------------------
 
     def send_on(self, link: TrunkLink | None, frame: TrunkFrame) -> None:
-        if link is None or not link.alive:
-            if frame.type is FrameType.AUDIO:
-                self._m_dead_link.inc()
-            return
+        """Queue one signaling frame; a missing or dead link drops it."""
         # lock-ok: TrunkLink.send is a bounded queue handoff, not socket I/O
-        if link.send(frame):
-            if frame.type is FrameType.AUDIO:
-                self._m_frames_out.inc()
-            else:
-                self._m_signaling_out.inc()
+        if link is not None and link.send(frame):
+            self._m_signaling_out.inc()
 
     def stage_audio(self, leg: _TrunkLeg, samples: np.ndarray) -> None:
         """Queue one leg's block for this window's AUDIO_BATCH flush.
@@ -877,8 +858,7 @@ class TrunkGateway:
                          daemon=True).start()
 
     def _connect_route(self, route: TrunkRoute) -> None:
-        local = Handshake(self.name, minor=self.wire_minor,
-                          sample_rate=self.exchange.sample_rate)
+        local = Handshake(self.name, sample_rate=self.exchange.sample_rate)
         try:
             sock = socket.create_connection(
                 (route.host, route.port), timeout=self.connect_timeout)
@@ -902,11 +882,7 @@ class TrunkGateway:
             return
         link = TrunkLink(sock, peer, initiated=True,
                          keepalive_interval=self.keepalive_interval,
-                         outbound_bound=self.outbound_bound,
-                         batching=(self.batch_enabled
-                                   and peer.minor >= BATCH_MIN_MINOR),
-                         mesh=(self.wire_minor >= MESH_MIN_MINOR
-                               and peer.minor >= MESH_MIN_MINOR)).start()
+                         outbound_bound=self.outbound_bound).start()
         with self._state_lock:
             route.link = link
             route.connecting = False
@@ -995,7 +971,7 @@ class TrunkGateway:
         """
         version = self.table.version
         for link in self._all_links():
-            if not link.alive or not link.mesh:
+            if not link.alive:
                 continue
             state = self._advertised.get(link)
             if state is None:
@@ -1021,8 +997,7 @@ class TrunkGateway:
     # -- accepting ------------------------------------------------------------
 
     def _accept_loop(self) -> None:
-        local = Handshake(self.name, minor=self.wire_minor,
-                          sample_rate=self.exchange.sample_rate)
+        local = Handshake(self.name, sample_rate=self.exchange.sample_rate)
         while self._running:
             try:
                 sock, _addr = self._listener.accept()
@@ -1047,11 +1022,7 @@ class TrunkGateway:
             link = TrunkLink(
                 sock, peer, initiated=False,
                 keepalive_interval=self.keepalive_interval,
-                outbound_bound=self.outbound_bound,
-                batching=(self.batch_enabled
-                          and peer.minor >= BATCH_MIN_MINOR),
-                mesh=(self.wire_minor >= MESH_MIN_MINOR
-                      and peer.minor >= MESH_MIN_MINOR)).start()
+                outbound_bound=self.outbound_bound).start()
             with self._state_lock:
                 self._accepted.append(link)
 
@@ -1062,12 +1033,6 @@ class TrunkGateway:
             return self._legs.get(link, {}).get(call_id)
 
     def _handle_frame(self, link: TrunkLink, frame: TrunkFrame) -> None:
-        if frame.type is FrameType.AUDIO:
-            self._m_frames_in.inc()
-            leg = self._leg_for(link, frame.call_id)
-            if leg is not None:
-                self._bearer_in(leg, frame.seq, frame.payload)
-            return
         if frame.type is FrameType.AUDIO_BATCH:
             entries = frame.entries
             self._m_frames_in.inc(len(entries))
@@ -1089,10 +1054,10 @@ class TrunkGateway:
                 for prefix, origin, hops, seq in frame.adverts:
                     self.table.learn(link, prefix, origin, hops, seq)
             # A non-mesh gateway (static routes only) ignores adverts
-            # rather than refusing them: minor 2 is a capability, not
-            # an obligation.
+            # rather than refusing them: every link carries them, but
+            # only the mesh acts on them.
             return
-        if frame.type in (FrameType.SETUP, FrameType.SETUP2):
+        if frame.type is FrameType.SETUP2:
             self._handle_setup(link, frame)
             return
         leg = self._leg_for(link, frame.call_id)
@@ -1111,30 +1076,29 @@ class TrunkGateway:
 
     def _handle_setup(self, link: TrunkLink, frame: TrunkFrame) -> None:
         if self._leg_for(link, frame.call_id) is not None:
-            log.warning("trunk link %s: duplicate call id %d in SETUP",
+            log.warning("trunk link %s: duplicate call id %d in SETUP2",
                         link.name, frame.call_id)
             self.send_on(link, TrunkFrame(FrameType.RELEASE, frame.call_id,
                                           reason="duplicate call id"))
             return
-        if frame.type is FrameType.SETUP2:
-            # The via list names every gateway the call already crossed;
-            # seeing our own name means a routing loop, and a hop count
-            # at the bound means someone's topology is degenerate.  Both
-            # releases are retryable, so the upstream tandem fails over
-            # to its next candidate instead of killing the call.
-            if self.name in frame.via:
-                self._m_loop_refused.inc()
-                log.warning("trunk link %s: routing loop for %r (via %s)",
-                            link.name, frame.number, "/".join(frame.via))
-                self.send_on(link, TrunkFrame(
-                    FrameType.RELEASE, frame.call_id, reason="routing loop"))
-                return
-            if frame.hops >= self.table.max_hops:
-                self._m_hop_refused.inc()
-                self.send_on(link, TrunkFrame(
-                    FrameType.RELEASE, frame.call_id,
-                    reason="max hops exceeded"))
-                return
+        # The via list names every mesh gateway the call already
+        # crossed; seeing our own name means a routing loop, and a hop
+        # count at the bound means someone's topology is degenerate.
+        # Both releases are retryable, so the upstream tandem fails over
+        # to its next candidate instead of killing the call.
+        if self.name in frame.via:
+            self._m_loop_refused.inc()
+            log.warning("trunk link %s: routing loop for %r (via %s)",
+                        link.name, frame.number, "/".join(frame.via))
+            self.send_on(link, TrunkFrame(
+                FrameType.RELEASE, frame.call_id, reason="routing loop"))
+            return
+        if frame.hops >= self.table.max_hops:
+            self._m_hop_refused.inc()
+            self.send_on(link, TrunkFrame(
+                FrameType.RELEASE, frame.call_id,
+                reason="max hops exceeded"))
+            return
         leg = InboundLeg(frame.caller_id or "unknown", self.exchange,
                          self, link, frame.call_id)
         leg.via = frame.via
@@ -1317,6 +1281,5 @@ class TrunkGateway:
         return snapshot
 
 
-# read_frame is re-exported for tests that speak raw trunk protocol.
 __all__ = ["InboundLeg", "MeshPeer", "RemoteLine", "TrunkGateway",
-           "TrunkRoute", "parse_route", "read_frame"]
+           "TrunkRoute", "parse_route"]

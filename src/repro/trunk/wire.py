@@ -2,22 +2,20 @@
 
 One trunk link is a TCP byte stream opened with a fixed-size versioned
 handshake, then carrying length-prefixed frames in both directions.
-Frames split into *signaling* (call control: SETUP, ALERTING, ANSWER,
-RELEASE, DTMF) and *bearer* (AUDIO: sequence-numbered blocks of G.711
-mu-law, reusing the table-driven codec from ``repro.dsp.encodings``).
-The grammar is deliberately tiny -- small enough to hold in your head
-while reading a packet capture:
+Frames split into *signaling* (call control: SETUP2, ALERTING, ANSWER,
+RELEASE, DTMF, plus the ROUTE_ADVERT routing plane) and *bearer*
+(AUDIO_BATCH: sequence-numbered blocks of G.711 mu-law, reusing the
+table-driven codec from ``repro.dsp.encodings``).  The grammar is
+deliberately tiny -- small enough to hold in your head while reading a
+packet capture:
 
     handshake := magic(4) u16 major u16 minor u32 sample_rate string name
     frame     := u32 length  u8 type  payload[length - 1]
 
-    SETUP     := u32 call_id  string number  string caller_id
-                 string forwarded_from      ("" = not forwarded)
     ALERTING  := u32 call_id
     ANSWER    := u32 call_id
     RELEASE   := u32 call_id  string reason
     DTMF      := u32 call_id  string digits
-    AUDIO     := u32 call_id  u32 seq  blob mulaw_payload
     PING      := u32 token
     PONG      := u32 token
     AUDIO_BATCH := u32 count
@@ -29,28 +27,32 @@ while reading a packet capture:
                  string forwarded_from  u8 hops
                  u8 via_count  via_count * string via_node
 
+Type codes 1 and 6 are unassigned: a peer that sends them is dropped
+with "unknown frame type", like any other unknown code.
+
 Call ids are allocated by the endpoint that *originates* the call; the
 endpoint that initiated the TCP connection uses odd ids and the acceptor
 even ids, so simultaneous calls in both directions can never collide.
 
-``AUDIO_BATCH`` (minor version 1) is the bearer-plane fast path: one
-flush window's worth of *every* call's audio packed into a single
-length-prefixed frame, so a 256-call link costs one frame (and one
-``sendall``) per window instead of 256.  The batch is negotiated at
-handshake time -- a peer announcing ``minor < 1`` keeps receiving plain
-per-frame ``AUDIO``, which stays both the compatibility path and the
-equivalence oracle for the batched one.
+There is one protocol version, 2.0, and nothing is negotiated per link:
+every link carries every frame type.  ``compatible_with`` refuses a
+peer of any other major version (1.x spoke per-frame bearer and plain
+SETUP).
 
-``ROUTE_ADVERT`` and ``SETUP2`` (minor version 2) are the mesh routing
-plane (docs/TELEPHONY.md, "Mesh routing").  An advert entry announces
-that ``origin`` can be reached through the sender at ``hops`` trunk
-hops; hop count :data:`UNREACHABLE_HOPS` withdraws a previously
-advertised route.  ``SETUP2`` is SETUP plus the tandem-switching
+``AUDIO_BATCH`` is the only bearer frame: one flush window's worth of
+*every* call's audio packed into a single length-prefixed frame, so a
+256-call link costs one frame (and one ``sendall``) per window instead
+of 256, and a single call's block rides a one-entry batch.
+
+``ROUTE_ADVERT`` and ``SETUP2`` are the mesh routing plane
+(docs/TELEPHONY.md, "Mesh routing").  An advert entry announces that
+``origin`` can be reached through the sender at ``hops`` trunk hops;
+hop count :data:`UNREACHABLE_HOPS` withdraws a previously advertised
+route.  ``SETUP2`` opens a call and carries the tandem-switching
 context: ``hops`` counts the trunk links the call has already crossed
-and ``via`` lists the gateways it has left, so a node that finds its
-own name in ``via`` refuses the loop.  Both are negotiated exactly like
-AUDIO_BATCH: a peer announcing ``minor < 2`` simply never sees them and
-keeps interoperating with plain SETUP and static routes.
+and ``via`` lists the mesh gateways it has left, so a node that finds
+its own name in ``via`` refuses the loop.  A gateway without mesh
+routing ignores adverts and still speaks SETUP2.
 
 Marshalling reuses the :class:`~repro.protocol.wire.Writer` /
 :class:`~repro.protocol.wire.Reader` primitives of the client protocol
@@ -71,18 +73,11 @@ from ..protocol.wire import ConnectionClosed, Reader, WireFormatError, \
 
 #: First bytes on the wire, both directions.
 TRUNK_MAGIC = b"RTRK"
-TRUNK_MAJOR = 1
-TRUNK_MINOR = 2
-
-#: Lowest minor version whose speaker understands AUDIO_BATCH frames.
-BATCH_MIN_MINOR = 1
-
-#: Lowest minor version whose speaker understands the mesh routing
-#: frames (ROUTE_ADVERT, SETUP2).
-MESH_MIN_MINOR = 2
+TRUNK_MAJOR = 2
+TRUNK_MINOR = 0
 
 #: Upper bound on one frame's encoded size; anything bigger is a
-#: protocol violation (an AUDIO block at 8 kHz is ~160 bytes, and a
+#: protocol violation (a bearer block at 8 kHz is ~160 bytes, and a
 #: 256-call AUDIO_BATCH stays well under 64 KiB).
 MAX_FRAME_BYTES = 1 << 20
 
@@ -105,9 +100,8 @@ UNREACHABLE_HOPS = 0xFFFF
 _LENGTH = struct.Struct("<I")
 _HANDSHAKE_HEAD = struct.Struct("<4sHHI")
 
-# Prebound structs for the hot bearer encoders (PR 2 style): the whole
-# frame header in one pack instead of a Writer's append-per-field.
-_AUDIO_HEAD = struct.Struct("<IBIII")      # length  type  call_id  seq  len
+# Prebound structs for the hot bearer encoders: the whole frame header
+# in one pack instead of a Writer's append-per-field.
 _BATCH_HEAD = struct.Struct("<IBI")        # length  type  count
 _ENTRY_HEAD = struct.Struct("<III")        # call_id  seq  len
 
@@ -117,24 +111,15 @@ class TrunkProtocolError(Exception):
 
 
 class FrameType(enum.IntEnum):
-    SETUP = 1
     ALERTING = 2
     ANSWER = 3
     RELEASE = 4
     DTMF = 5
-    AUDIO = 6
     PING = 7
     PONG = 8
     AUDIO_BATCH = 9
     ROUTE_ADVERT = 10
     SETUP2 = 11
-
-
-#: Frame types that carry call signaling (everything but bearer/keepalive).
-SIGNALING_TYPES = frozenset({
-    FrameType.SETUP, FrameType.ALERTING, FrameType.ANSWER,
-    FrameType.RELEASE, FrameType.DTMF, FrameType.SETUP2,
-})
 
 
 @dataclass(frozen=True)
@@ -148,13 +133,12 @@ class TrunkFrame:
     forwarded_from: str = ""
     reason: str = ""
     digits: str = ""
-    seq: int = 0
-    payload: bytes = b""
     token: int = 0
     #: AUDIO_BATCH only: ``(call_id, seq, mulaw_payload)`` per call.
     entries: tuple = ()
     #: SETUP2 only: trunk hops already crossed, and the names of the
-    #: gateways the call has left (oldest first) for loop prevention.
+    #: mesh gateways the call has left (oldest first) for loop
+    #: prevention.
     hops: int = 0
     via: tuple = ()
     #: ROUTE_ADVERT only: ``(prefix, origin, hops, seq)`` per route;
@@ -162,16 +146,6 @@ class TrunkFrame:
     adverts: tuple = ()
 
     def encode(self) -> bytes:
-        if self.type is FrameType.AUDIO:
-            # Bearer fast path: one preallocated buffer, one prebound
-            # header pack -- no Writer object, no chunk concatenation.
-            payload = self.payload
-            buffer = bytearray(_AUDIO_HEAD.size + len(payload))
-            _AUDIO_HEAD.pack_into(buffer, 0, 13 + len(payload),
-                                  int(FrameType.AUDIO), self.call_id,
-                                  self.seq, len(payload))
-            buffer[_AUDIO_HEAD.size:] = payload
-            return bytes(buffer)
         if self.type is FrameType.AUDIO_BATCH:
             return bytes(encode_audio_batch(self.entries))
         writer = Writer()
@@ -187,34 +161,20 @@ class TrunkFrame:
                 writer.u32(seq)
         else:
             writer.u32(self.call_id)
-            if self.type in (FrameType.SETUP, FrameType.SETUP2):
+            if self.type is FrameType.SETUP2:
                 writer.string(self.number)
                 writer.string(self.caller_id)
                 writer.string(self.forwarded_from)
-                if self.type is FrameType.SETUP2:
-                    writer.u8(self.hops)
-                    writer.u8(len(self.via))
-                    for node in self.via:
-                        writer.string(node)
+                writer.u8(self.hops)
+                writer.u8(len(self.via))
+                for node in self.via:
+                    writer.string(node)
             elif self.type is FrameType.RELEASE:
                 writer.string(self.reason)
             elif self.type is FrameType.DTMF:
                 writer.string(self.digits)
         body = writer.getvalue()
         return _LENGTH.pack(len(body)) + body
-
-    def encode_into(self, out: bytearray) -> None:
-        """Append this frame's wire bytes to a reused sweep buffer."""
-        if self.type is FrameType.AUDIO:
-            payload = self.payload
-            out += _AUDIO_HEAD.pack(13 + len(payload),
-                                    int(FrameType.AUDIO), self.call_id,
-                                    self.seq, len(payload))
-            out += payload
-        elif self.type is FrameType.AUDIO_BATCH:
-            encode_audio_batch_into(out, self.entries)
-        else:
-            out += self.encode()
 
 
 def encode_audio_batch(entries) -> bytearray:
@@ -288,12 +248,7 @@ def decode_frame(body: bytes) -> TrunkFrame:
             frame = TrunkFrame(frame_type, entries=tuple(entries))
         else:
             call_id = reader.u32()
-            if frame_type is FrameType.SETUP:
-                frame = TrunkFrame(frame_type, call_id,
-                                   number=reader.string(),
-                                   caller_id=reader.string(),
-                                   forwarded_from=reader.string())
-            elif frame_type is FrameType.SETUP2:
+            if frame_type is FrameType.SETUP2:
                 number = reader.string()
                 caller_id = reader.string()
                 forwarded_from = reader.string()
@@ -313,9 +268,6 @@ def decode_frame(body: bytes) -> TrunkFrame:
             elif frame_type is FrameType.DTMF:
                 frame = TrunkFrame(frame_type, call_id,
                                    digits=reader.string())
-            elif frame_type is FrameType.AUDIO:
-                frame = TrunkFrame(frame_type, call_id, seq=reader.u32(),
-                                   payload=reader.blob())
             else:
                 frame = TrunkFrame(frame_type, call_id)
         reader.expect_end()
@@ -327,9 +279,9 @@ def decode_frame(body: bytes) -> TrunkFrame:
 def read_frame(sock: socket.socket) -> TrunkFrame:
     """Read one length-prefixed frame from a socket (blocking).
 
-    Two syscalls per frame -- the pre-batch reader, kept as the old-peer
-    compatibility path and the equivalence oracle for
-    :class:`FrameStream`.
+    Two syscalls per frame -- the plain blocking reader, kept as the
+    equivalence oracle for :class:`FrameStream` and for tests that speak
+    raw trunk protocol.
     """
     (length,) = _LENGTH.unpack(recv_exact(sock, _LENGTH.size))
     if length == 0 or length > MAX_FRAME_BYTES:

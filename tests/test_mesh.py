@@ -20,6 +20,7 @@ from repro.telephony import CallState, TelephoneExchange
 from repro.trunk import (
     FrameType,
     Handshake,
+    RemoteLine,
     RouteTable,
     TrunkFrame,
     TrunkGateway,
@@ -247,21 +248,19 @@ class MeshFleet:
     """N in-process exchanges joined into one mesh.
 
     ``topology`` maps node name -> (prefixes, neighbors); the first
-    node serves the registry.  ``static`` and ``no_mesh`` support the
-    interop tests: a ``no_mesh`` node never joins the mesh (it is a
-    plain static-route gateway), and ``static`` wires classic
-    ``--trunk-route`` entries after the fleet is up.
+    node serves the registry.  A ``no_mesh`` node never joins the mesh:
+    it is a plain static-route gateway that only listens, and tests
+    wire classic ``--trunk-route`` entries to it after the fleet is up.
     """
 
-    def __init__(self, topology, no_mesh=(), batch=None):
+    def __init__(self, topology, no_mesh=()):
         self.exchanges = {}
         self.gateways = {}
         for name, (prefixes, neighbors) in topology.items():
             exchange = TelephoneExchange(RATE)
             gateway = TrunkGateway(
                 exchange, name=name, metrics=MetricsRegistry(),
-                keepalive_interval=0.1,
-                batch_enabled=(batch or {}).get(name, True))
+                keepalive_interval=0.1)
             self.exchanges[name] = exchange
             self.gateways[name] = gateway
         first = True
@@ -569,32 +568,34 @@ class TestTandemRefusals:
             gateway.stop()
 
 
-class TestOldMinorInterop:
-    def test_static_old_minor_peer_reached_through_a_tandem(self):
-        # A (mesh) -> B (mesh, tandem) -> C (minor-0 static gateway).
+class TestStaticLeaf:
+    def test_static_gateway_reached_through_a_tandem(self):
+        # A (mesh) -> B (mesh, tandem) -> C (static gateway, mesh off).
         # B owns prefix "3" in the mesh because *it* knows the static
-        # route there; C never sees a mesh frame.
+        # route there; C receives B's adverts like any peer but, with
+        # mesh routing off, learns nothing from them.
         fleet = MeshFleet({
             "A": (("1",), {"B"}),
             "B": (("2", "3"), set()),
             "C": ((), set()),
-        }, no_mesh=("C",), batch={"C": False})
+        }, no_mesh=("C",))
         try:
             gw_b, gw_c = fleet.gateways["B"], fleet.gateways["C"]
             gw_b.add_route("3", "127.0.0.1", gw_c.port)
             assert gw_b.wait_connected(5.0)
-            static_link = gw_b.routes[0].link
-            assert not static_link.mesh      # minor 0 negotiated it off
             assert fleet.pump_until(lambda: fleet.knows("A", "300"))
             alice = fleet.exchanges["A"].add_line("100")
             carol = fleet.exchanges["C"].add_line("300")
             _call_with_audio(fleet, alice, carol)
-            # The tandem leg crossed B: mesh SETUP2 in, classic SETUP
-            # out to the old peer.
+            # The tandem leg crossed B: SETUP2 in from the mesh, SETUP2
+            # out to the static leaf.
             assert gw_b._m_tandem.value == 1
-            assert gw_c._m_adverts_in.value == 0
-            # Bearer was cut through onto the per-frame (minor 0) link
-            # too, not re-terminated at B.
+            assert gw_c._m_adverts_in.value > 0
+            assert gw_c.table.entry_count() == 0
+            assert gw_c.table.snapshot() == []
+            assert gw_c.mesh_snapshot() == {}
+            # Bearer was cut through onto the static link too, not
+            # re-terminated at B.
             assert gw_b._m_transit.value > 0
         finally:
             fleet.stop()
@@ -711,20 +712,23 @@ class TestTandemCutThrough:
             # staging and the flush.
             onward = gw_b.routes[0].link
             gw_b._handle_frame(inbound.link, TrunkFrame(
-                FrameType.AUDIO, 1, seq=9, payload=payload))
+                FrameType.AUDIO_BATCH, entries=((1, 9, payload),)))
             onward.close()
             gw_b._handle_frame(inbound.link, TrunkFrame(
-                FrameType.AUDIO, 1, seq=10, payload=payload))
+                FrameType.AUDIO_BATCH, entries=((1, 10, payload),)))
             gw_b._flush_staged()
             assert gw_b._m_dead_link.value == 2
             assert gw_b._m_transit.value == 7
-            # Local bearer sent into a dead link lands in the same
-            # counter; signaling does not.
-            gw_b.send_on(onward, TrunkFrame(FrameType.AUDIO, 1, seq=0,
-                                            payload=payload))
+            # A leg whose link is dead, or that has none, delivering
+            # local audio lands in the same counter; signaling does not.
+            (outbound,) = [leg for leg in _legs_of(gw_b)
+                           if leg.link is onward]
+            outbound.deliver_audio(sent)
+            RemoteLine("399", ex_b, gw_b, None, 0).deliver_audio(sent)
+            gw_b._flush_staged()
             gw_b.send_on(onward, TrunkFrame(FrameType.RELEASE, 1,
                                             reason="hangup"))
-            assert gw_b._m_dead_link.value == 3
+            assert gw_b._m_dead_link.value == 4
             # The next tick reaps the dead link and releases the call.
             pump()
             assert ex_b.call_for(inbound) is None

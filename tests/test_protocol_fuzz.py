@@ -330,9 +330,10 @@ _batch_entries = st.lists(
 
 _trunk_frames = st.lists(
     st.one_of(
+        # One call's block: a one-entry batch.
         st.builds(
             lambda call_id, seq, payload: TrunkFrame(
-                FrameType.AUDIO, call_id, seq=seq, payload=payload),
+                FrameType.AUDIO_BATCH, entries=((call_id, seq, payload),)),
             st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
             st.binary(max_size=48)),
         _batch_entries.map(
@@ -390,6 +391,17 @@ class TestTrunkBatchFuzz:
             decode_frame(body)
         except TrunkProtocolError:
             pass
+
+    @given(st.sampled_from([1, 6]), st.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_retired_frame_types_rejected(self, code, rest):
+        """Types 1 (plain SETUP) and 6 (per-frame AUDIO) are unassigned
+        in protocol 2.0, whatever body follows them."""
+        from repro.trunk.wire import decode_frame
+
+        with pytest.raises(TrunkProtocolError,
+                           match="unknown frame type %d" % code):
+            decode_frame(bytes([code]) + rest)
 
 
 # -- mesh route propagation and registry framing ------------------------------

@@ -41,8 +41,9 @@ class TestWireFormat:
         return decode_frame(encoded[4:])
 
     def test_setup_roundtrip(self):
-        frame = TrunkFrame(FrameType.SETUP, 7, number="200",
-                           caller_id="100", forwarded_from="150")
+        frame = TrunkFrame(FrameType.SETUP2, 7, number="200",
+                           caller_id="100", forwarded_from="150",
+                           hops=1, via=("A",))
         assert self.roundtrip(frame) == frame
 
     def test_release_roundtrip(self):
@@ -54,8 +55,10 @@ class TestWireFormat:
         assert self.roundtrip(frame) == frame
 
     def test_audio_roundtrip(self):
+        # One call's block rides a one-entry batch.
         payload = mulaw_encode(np.arange(BLOCK, dtype=np.int16))
-        frame = TrunkFrame(FrameType.AUDIO, 5, seq=17, payload=payload)
+        frame = TrunkFrame(FrameType.AUDIO_BATCH,
+                           entries=((5, 17, payload),))
         assert self.roundtrip(frame) == frame
 
     def test_ping_pong_roundtrip(self):
@@ -87,7 +90,7 @@ class TestWireFormat:
         try:
             frames = [
                 TrunkFrame(FrameType.ALERTING, 11),
-                TrunkFrame(FrameType.AUDIO, 5, seq=1, payload=b"abc"),
+                TrunkFrame(FrameType.AUDIO_BATCH, entries=((5, 1, b"abc"),)),
                 TrunkFrame(FrameType.AUDIO_BATCH,
                            entries=((1, 2, b"xy"), (3, 4, b"z"))),
                 TrunkFrame(FrameType.RELEASE, 5, reason="done"),
@@ -169,7 +172,7 @@ class TestHandshake:
         assert "sample rate" in ours.compatible_with(theirs)
 
     def test_minor_version_mismatch_tolerated(self):
-        # Minors negotiate features (AUDIO_BATCH); they never refuse.
+        # Only the major version refuses; a minor negotiates nothing.
         ours = Handshake("a", minor=1)
         assert ours.compatible_with(Handshake("b", minor=0)) is None
 
@@ -263,23 +266,20 @@ class TestJitterBuffer:
 class TwoExchanges:
     """Two exchanges federated A->B over a real TCP trunk."""
 
-    def __init__(self, route_prefix="2", listen=True,
-                 batch_a=True, batch_b=True):
+    def __init__(self, route_prefix="2", listen=True):
         from repro.obs import MetricsRegistry
 
         self.ex_a = TelephoneExchange(RATE)
         self.ex_b = TelephoneExchange(RATE)
         self.gw_b = TrunkGateway(self.ex_b, name="B",
                                  metrics=MetricsRegistry(),
-                                 keepalive_interval=0.1,
-                                 batch_enabled=batch_b)
+                                 keepalive_interval=0.1)
         if listen:
             self.gw_b.listen("127.0.0.1", 0)
         self.gw_b.start()
         self.gw_a = TrunkGateway(self.ex_a, name="A",
                                  metrics=MetricsRegistry(),
-                                 keepalive_interval=0.1,
-                                 batch_enabled=batch_a)
+                                 keepalive_interval=0.1)
         if listen:
             self.gw_a.add_route(route_prefix, "127.0.0.1", self.gw_b.port)
         self.gw_a.start()
@@ -574,66 +574,49 @@ class TestTrunkSupervision:
             and pair.ex_b.call_for(b2) is not None
             and pair.ex_b.call_for(b2).state is CallState.CONNECTED)
 
-    def test_batch_fallback_interop_old_minor_peer(self):
-        """New-minor <-> old-minor peers fall back to per-frame AUDIO.
-
-        Run both orientations (old acceptor, then old initiator): the
-        call connects, audio flows both ways sample-identically, and no
-        AUDIO_BATCH frame ever crosses the wire.
-        """
-        for batch_a, batch_b in ((True, False), (False, True)):
-            pair = TwoExchanges(batch_a=batch_a, batch_b=batch_b)
-            try:
-                assert pair.gw_a.wait_connected(5.0)
-                assert pair.pump_until(lambda: pair.gw_b._accepted)
-                initiator = pair.gw_a.routes[0].link
-                acceptor = pair.gw_b._accepted[0]
-                # The old end announces minor 0, so neither side batches.
-                assert not initiator.batching
-                assert not acceptor.batching
-
-                alice = pair.ex_a.add_line("100")
-                bob = pair.ex_b.add_line("200")
-                a_events = _listener(alice)
-                alice.off_hook()
-                alice.dial("200")
-                assert pair.pump_until(lambda: bob.ringing)
-                bob.off_hook()
-                assert pair.pump_until(lambda: a_events["answered"])
-
-                sent_a = np.arange(1, BLOCK + 1, dtype=np.int16) * 41
-                sent_b = np.arange(1, BLOCK + 1, dtype=np.int16) * -59
-                heard_b, heard_a = [], []
-                for _ in range(12):
-                    alice.send_audio(sent_a)
-                    bob.send_audio(sent_b)
-                    pair.pump()
-                for _ in range(80):
-                    pair.pump()
-                    for line, sink in ((bob, heard_b), (alice, heard_a)):
-                        block = line.receive_audio(BLOCK)
-                        if np.any(block):
-                            sink.append(block)
-                    if len(heard_b) >= 3 and len(heard_a) >= 3:
-                        break
-                expect_b = mulaw_decode(mulaw_encode(sent_a))
-                expect_a = mulaw_decode(mulaw_encode(sent_b))
-                assert any(np.array_equal(h, expect_b) for h in heard_b)
-                assert any(np.array_equal(h, expect_a) for h in heard_a)
-
-                assert initiator.batch_frames_out == 0
-                assert acceptor.batch_frames_out == 0
-            finally:
-                pair.stop()
-
-    def test_new_minor_peers_negotiate_batching(self, pair):
+    def test_single_call_bearer_rides_one_entry_batches(self, pair):
+        """One call's bearer rides AUDIO_BATCH frames in both
+        directions, sample-identically."""
         assert pair.pump_until(lambda: pair.gw_b._accepted)
         initiator = pair.gw_a.routes[0].link
         acceptor = pair.gw_b._accepted[0]
-        assert initiator.batching and acceptor.batching
-        assert initiator.peer.minor >= 1
-        # Two concurrent calls guarantee multi-entry flush windows, so
-        # bearer actually rides AUDIO_BATCH frames.
+        alice = pair.ex_a.add_line("100")
+        bob = pair.ex_b.add_line("200")
+        a_events = _listener(alice)
+        alice.off_hook()
+        alice.dial("200")
+        assert pair.pump_until(lambda: bob.ringing)
+        bob.off_hook()
+        assert pair.pump_until(lambda: a_events["answered"])
+
+        sent_a = np.arange(1, BLOCK + 1, dtype=np.int16) * 41
+        sent_b = np.arange(1, BLOCK + 1, dtype=np.int16) * -59
+        heard_b, heard_a = [], []
+        for _ in range(12):
+            alice.send_audio(sent_a)
+            bob.send_audio(sent_b)
+            pair.pump()
+        for _ in range(80):
+            pair.pump()
+            for line, sink in ((bob, heard_b), (alice, heard_a)):
+                block = line.receive_audio(BLOCK)
+                if np.any(block):
+                    sink.append(block)
+            if len(heard_b) >= 3 and len(heard_a) >= 3:
+                break
+        expect_b = mulaw_decode(mulaw_encode(sent_a))
+        expect_a = mulaw_decode(mulaw_encode(sent_b))
+        assert any(np.array_equal(h, expect_b) for h in heard_b)
+        assert any(np.array_equal(h, expect_a) for h in heard_a)
+
+        for link in (initiator, acceptor):
+            assert link.batch_frames_out > 0
+            assert link.batch_entries_out >= link.batch_frames_out
+
+    def test_concurrent_calls_share_audio_batches(self, pair):
+        assert pair.pump_until(lambda: pair.gw_b._accepted)
+        initiator = pair.gw_a.routes[0].link
+        # Two concurrent calls guarantee multi-entry flush windows.
         a1, a2 = pair.ex_a.add_line("100"), pair.ex_a.add_line("101")
         b1, b2 = pair.ex_b.add_line("200"), pair.ex_b.add_line("201")
         a1.off_hook()
@@ -655,6 +638,60 @@ class TestTrunkSupervision:
             pair.pump()
         assert initiator.batch_frames_out > 0
         assert initiator.batch_entries_out >= 2 * initiator.batch_frames_out
+
+    def test_one_x_peer_refused_in_both_directions(self, pair):
+        """A peer still speaking protocol 1.2 never gets a link: the
+        acceptor refuses and counts it, and a route to it never comes
+        up."""
+        old = Handshake("old", major=1, minor=2, sample_rate=RATE)
+        refused_before = pair.gw_b._m_setup_refused.value
+        with socket.create_connection(("127.0.0.1", pair.gw_b.port),
+                                      timeout=2.0) as sock:
+            sock.sendall(old.encode())
+            sock.settimeout(2.0)
+            assert Handshake.read_from(sock).major == 2
+            assert sock.recv(1) == b""
+        deadline = time.monotonic() + 2.0
+        while (pair.gw_b._m_setup_refused.value == refused_before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert pair.gw_b._m_setup_refused.value == refused_before + 1
+        assert len(pair.gw_b._accepted) == 1
+
+        # Initiator side: a 1.2 acceptor answers A's handshake with its
+        # own; A drops the socket and the route stays down.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(4)
+        heard = []
+
+        def old_acceptor():
+            try:
+                conn, _addr = listener.accept()
+            except OSError:
+                return
+            with conn:
+                conn.settimeout(2.0)
+                heard.append(Handshake.read_from(conn))
+                conn.sendall(old.encode())
+                try:
+                    conn.recv(1)
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=old_acceptor, daemon=True)
+        thread.start()
+        connects_before = pair.gw_a._m_connects.value
+        route = pair.gw_a.add_route("7", "127.0.0.1",
+                                    listener.getsockname()[1])
+        try:
+            thread.join(5.0)
+            assert [peer.major for peer in heard] == [2]
+            pair.pump(20)
+            assert route.live_link() is None
+            assert pair.gw_a._m_connects.value == connects_before
+        finally:
+            listener.close()
 
     def test_version_mismatch_refused_at_accept(self, pair):
         # Dial B's trunk listener with a bad major version; the
